@@ -13,6 +13,11 @@
  * printed column pair, not a guess. Latency percentiles come from the
  * observability-on run, the shape operators actually deploy.
  *
+ * The "DFA %" column is the share of the observability-on run's bytes
+ * the tenant executed on the DFA table, read from its
+ * serve.dfa_cycles{tenant=…} series: auto tenants whose automaton
+ * determinizes run there from their first byte.
+ *
  * Correctness gate: per stream and per run, the sorted digest of every
  * report the socket returned (feeds + close) must equal the digest of
  * a local whole-input Engine::run over the same bytes — the daemon is
@@ -36,6 +41,8 @@
 #include "serve/server.h"
 #include "sim/engine.h"
 #include "store/format.h"
+#include "telemetry/labels.h"
+#include "telemetry/metrics.h"
 
 using namespace sparseap;
 using serve::ServeClient;
@@ -104,9 +111,19 @@ runStream(const std::string &socket_path, const std::string &tenant,
 struct RunResult
 {
     double mbps = 0.0;
+    double dfaShare = 0.0; ///< bytes on the DFA table / bytes fed
     Histogram latency;
     bool match = false;
 };
+
+/** Current value of the process-wide counter @p name (0 if unset). */
+uint64_t
+counterValue(const std::string &name)
+{
+    const telemetry::Snapshot snap = telemetry::snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
 
 /** One full server lifecycle at @p b streams, obs on or off. */
 RunResult
@@ -131,6 +148,9 @@ runOnce(const std::shared_ptr<FlatAutomaton> &fa,
     if (!server.start(&error))
         fatal("server start: ", error);
 
+    const std::string dfa_cycles =
+        telemetry::labeledName("serve.dfa_cycles", label);
+    const uint64_t dfa_before = counterValue(dfa_cycles);
     std::vector<StreamOutcome> outcomes(b);
     std::vector<std::thread> threads;
     threads.reserve(b);
@@ -159,6 +179,10 @@ runOnce(const std::shared_ptr<FlatAutomaton> &fa,
             result.match = false;
     }
     result.mbps = bytes / wall / 1e6;
+    result.dfaShare =
+        bytes ? static_cast<double>(counterValue(dfa_cycles) - dfa_before) /
+                    static_cast<double>(bytes)
+              : 0.0;
     return result;
 }
 
@@ -170,7 +194,8 @@ main()
     printSection("Serving-path throughput (socket end to end)");
     static ExperimentRunner runner;
     Table table({"App", "Streams", "KiB/stream", "MB/s off", "MB/s on",
-                 "Obs %", "p50 us", "p95 us", "p99 us", "Match"});
+                 "Obs %", "DFA %", "p50 us", "p95 us", "p99 us",
+                 "Match"});
 
     const std::string socket_path =
         "/tmp/sparseap-serve-bench." + std::to_string(::getpid()) +
@@ -215,6 +240,7 @@ main()
                           Table::fmt(off.mbps, 1),
                           Table::fmt(on.mbps, 1),
                           Table::fmt(obs_pct, 1),
+                          Table::fmt(100.0 * on.dfaShare, 1),
                           Table::fmt(on.latency.p50(), 0),
                           Table::fmt(on.latency.p95(), 0),
                           Table::fmt(on.latency.p99(), 0),

@@ -78,18 +78,14 @@ profileApplication(const FlatAutomaton &fa, std::span<const uint8_t> input,
     // when the sparse core's measured probe work exceeds a word sweep.
     size_t i = 0;
     bool go_dense = mode == EngineMode::Dense;
-    if (mode == EngineMode::Auto && fa.size() >= Engine::kMinDenseStates &&
-        longest > Engine::kProbeCycles) {
+    if (mode == EngineMode::Auto && longest > Engine::kProbeCycles) {
         uint64_t work_acc = 0;
         for (; i < Engine::kProbeCycles; ++i) {
             snapshotSparse(i);
             core.step(input[i], i, nullptr);
             work_acc += core.lastStepWork();
         }
-        const uint64_t threshold =
-            static_cast<uint64_t>(Engine::kProbeCycles) *
-            Engine::kDenseWorkPerWord * wordsForBits(fa.size());
-        go_dense = work_acc >= threshold;
+        go_dense = Engine::prefersDense(fa.size(), work_acc);
     }
 
     if (go_dense) {

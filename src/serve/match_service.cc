@@ -245,6 +245,7 @@ struct MatchService::Tenant
     std::string name;
     std::shared_ptr<const FlatAutomaton> fa;
     SessionConfig session;
+    EngineMode core = EngineMode::Auto; ///< TenantInfo::core
     std::unordered_map<uint64_t, std::shared_ptr<Stream>> streams;
     /** Idle sessions kept for reuse (allocation recycling). */
     std::vector<std::unique_ptr<EngineSession>> pool;
@@ -260,11 +261,13 @@ MatchService::addTenant(const std::string &name,
                         SessionConfig session)
 {
     SPARSEAP_ASSERT(fa != nullptr, "tenant automaton must be non-null");
-    std::lock_guard<std::mutex> lock(mutex_);
     auto t = std::make_unique<Tenant>();
+    // Determinize outside the lock: it can take a while.
+    t->core = initialCore(*fa, session.mode);
     t->name = name;
     t->fa = std::move(fa);
     t->session = session;
+    std::lock_guard<std::mutex> lock(mutex_);
     tenants_[name] = std::move(t);
 }
 
@@ -282,7 +285,7 @@ MatchService::tenants() const
     std::vector<TenantInfo> out;
     out.reserve(tenants_.size());
     for (const auto &[name, t] : tenants_)
-        out.push_back({name, t->fa->size(), t->streams.size()});
+        out.push_back({name, t->fa->size(), t->streams.size(), t->core});
     return out;
 }
 

@@ -97,6 +97,10 @@ struct TenantInfo
     std::string name;
     size_t states = 0;        ///< automaton size
     size_t activeStreams = 0; ///< open streams right now
+    /** Core resolved at addTenant by initialCore (sim/session.h): Dfa
+     *  when the automaton determinizes; Auto for an auto tenant after a
+     *  bailout (each stream's probe picks sparse or dense). */
+    EngineMode core = EngineMode::Auto;
 };
 
 /** Point-in-time service counters (all monotonically derived). */
@@ -130,7 +134,9 @@ class MatchService
      * stream of the tenant (and typically mmap-backed by the artifact
      * store). @p session carries the per-stream engine configuration;
      * the default (auto core, all-bytes alphabet) is correct for
-     * streams whose byte distribution is unknown up front.
+     * streams whose byte distribution is unknown up front. Auto and dfa
+     * tenants determinize here (once per automaton, under the DFA
+     * budget), so that cost lands in set-up, never in a first feed.
      */
     void addTenant(const std::string &name,
                    std::shared_ptr<const FlatAutomaton> fa,

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/vec.h"
+#include "common/word_vector.h"
 #include "sim/dense_core.h"
 #include "sim/exec_core.h"
 #include "sim/hot_dfa.h"
@@ -77,6 +78,14 @@ Engine::Engine(const FlatAutomaton &fa, EngineMode mode)
 }
 
 Engine::~Engine() = default;
+
+bool
+Engine::prefersDense(size_t states, uint64_t probeWork)
+{
+    return states >= kMinDenseStates &&
+           probeWork >= static_cast<uint64_t>(kProbeCycles) *
+                            kDenseWorkPerWord * wordsForBits(states);
+}
 
 EngineMode
 Engine::resolvedMode() const

@@ -21,12 +21,13 @@
  *    is small enough to determinize (the profiler's hot partitions);
  *    falls back to the dense core when the budget is exceeded.
  *
- * The default *auto* mode probes the live-set density over the first
- * cycles on the sparse core and hands the in-flight run over to the
- * dense core when the automaton runs dense (see docs/PERFORMANCE.md).
- * After a run that crossed over, small automata (<= kMaxAutoDfaStates)
- * are determinized once and later runs execute on the DFA table from
- * cycle 0 — the same measured-work signal driving one more handover.
+ * The default *auto* mode picks the core once per automaton: it tries
+ * the budgeted determinization (FlatAutomaton::ensureHotDfa — one
+ * attempt per automaton, bailouts cached) and runs every stream on the
+ * DFA table from byte 0 when it fits. When it bails out, the stream
+ * starts on the sparse core, probes the live-set density over the
+ * first cycles and hands the in-flight run over to the dense core when
+ * the automaton runs dense (prefersDense; see docs/PERFORMANCE.md).
  * SPARSEAP_ENGINE=sparse|dense|dfa|auto overrides.
  */
 
@@ -123,7 +124,7 @@ class Engine
     /** True iff this engine's runs may use the input skip. */
     bool inputSkip() const { return skip_enabled_; }
 
-    /** Auto-mode heuristic constants (documented in PERFORMANCE.md). */
+    /** Auto-mode probe constants (documented in PERFORMANCE.md). */
     /** Cycles sampled on the sparse core before deciding. */
     static constexpr size_t kProbeCycles = 128;
     /**
@@ -135,14 +136,13 @@ class Engine
     static constexpr size_t kDenseWorkPerWord = 2;
     /** Never hand over below this size: one word sweep covers it. */
     static constexpr size_t kMinDenseStates = 256;
+
     /**
-     * Auto mode attempts determinization only for automata at most
-     * this large (and only after a dense handover proved the live set
-     * dense): hot partitions qualify, full rule-set automata — whose
-     * subset construction would blow the budget anyway — skip the
-     * attempt entirely.
+     * The sparse→dense rule of every auto probe (session, profiling,
+     * SpAP executor): @p probeWork, the sparse core's lastStepWork()
+     * summed over kProbeCycles cycles, on an automaton of @p states.
      */
-    static constexpr size_t kMaxAutoDfaStates = 4096;
+    static bool prefersDense(size_t states, uint64_t probeWork);
 
   private:
     const FlatAutomaton &fa_;
@@ -150,9 +150,9 @@ class Engine
     /**
      * The engine is a thin shell over a suspendable session
      * (sim/session.h): run() = restart + one whole-input feed. Cross-
-     * run state — the one-shot DFA selection, the dense core, report-
-     * capacity reuse — lives in the session, so the chunked and
-     * whole-input paths are one implementation.
+     * run state — the dense core, report-capacity reuse — lives in the
+     * session, so the chunked and whole-input paths are one
+     * implementation.
      */
     std::unique_ptr<EngineSession> session_;
     bool skip_enabled_; ///< quiescence input skip (see setInputSkip)

@@ -111,6 +111,8 @@ HotDfa::build(const FlatAutomaton &fa, const Limits &limits)
                 const size_t next_states = act_sets.size() / words + 1;
                 if (next_states > limits.stateBudget ||
                     next_states * classes * sizeof(uint32_t) >
+                        limits.tableBytes ||
+                    next_states * words * sizeof(uint64_t) >
                         limits.tableBytes) {
                     bailouts.add(1);
                     debugLog("hot-dfa bailout at ", next_states - 1,

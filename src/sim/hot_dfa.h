@@ -60,7 +60,12 @@ class HotDfa
     {
         /** Maximum DFA states. */
         size_t stateBudget = 2048;
-        /** Maximum transition-table bytes (states * classes * 4). */
+        /**
+         * Maximum transition-table bytes (states * classes * 4). The
+         * same cap bounds the activated sets the construction holds
+         * (states * NFA words * 8), so a large automaton bails after a
+         * few states instead of after stateBudget huge ones.
+         */
         size_t tableBytes = 4096 * 1024;
 
         /** Caps from SPARSEAP_DFA_STATES / SPARSEAP_DFA_TABLE_KB. */

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/vec.h"
-#include "common/word_vector.h"
 #include "sim/dense_core.h"
 #include "sim/engine.h"
 #include "sim/hot_dfa.h"
@@ -62,6 +61,16 @@ EngineSession::ensureDense()
 }
 
 EngineMode
+initialCore(const FlatAutomaton &fa, EngineMode mode)
+{
+    if (mode != EngineMode::Auto && mode != EngineMode::Dfa)
+        return mode;
+    if (fa.ensureHotDfa())
+        return EngineMode::Dfa;
+    return mode == EngineMode::Dfa ? EngineMode::Dense : EngineMode::Auto;
+}
+
+EngineMode
 EngineSession::resolvedMode() const
 {
     switch (phase_) {
@@ -81,17 +90,6 @@ EngineSession::restart(HotStateProfiler *profiler)
 {
     static telemetry::Counter streams("session.streams");
     streams.add(1);
-
-    // A handed-over auto stream nominates determinization for the
-    // *next* stream (Engine::run parity: the measured work that chose
-    // the dense core also argues the automaton runs hot enough to
-    // determinize). One capped attempt per session.
-    if (pending_dfa_nomination_ && !dfa_checked_ &&
-        fa_.size() <= Engine::kMaxAutoDfaStates) {
-        dfa_checked_ = true;
-        dfa_ = fa_.ensureHotDfa();
-    }
-    pending_dfa_nomination_ = false;
 
     offset_ = 0;
     report_capacity_ = std::max(report_capacity_, reports_.size());
@@ -113,43 +111,23 @@ EngineSession::restart(HotStateProfiler *profiler)
         return;
     }
 
-    switch (config_.mode) {
-    case EngineMode::Sparse:
-        phase_ = Phase::Sparse;
-        core_->reset(config_.alphabet, nullptr, /*install_starts=*/true);
+    // After a bailout auto probes: the handover is decided at global
+    // cycle kProbeCycles (a stream that ends earlier just ran sparse).
+    switch (initialCore(fa_, config_.mode)) {
+    case EngineMode::Dfa:
+        dfa_ = fa_.ensureHotDfa(); // cache hit
+        phase_ = Phase::Dfa;
         break;
     case EngineMode::Dense:
         ensureDense();
         dense_->reset(/*install_starts=*/true);
         phase_ = Phase::Dense;
         break;
-    case EngineMode::Dfa:
-        if (!dfa_checked_) {
-            dfa_checked_ = true;
-            dfa_ = fa_.ensureHotDfa();
-            if (!dfa_)
-                debugLog("dfa mode: budget bailout on ", fa_.size(),
-                         "-state automaton, using the dense core");
-        }
-        if (dfa_) {
-            phase_ = Phase::Dfa;
-        } else {
-            ensureDense();
-            dense_->reset(/*install_starts=*/true);
-            phase_ = Phase::Dense;
-        }
-        break;
+    case EngineMode::Sparse:
     case EngineMode::Auto:
-        if (dfa_) {
-            phase_ = Phase::Dfa;
-            break;
-        }
         core_->reset(config_.alphabet, nullptr, /*install_starts=*/true);
-        // The probe needs more than kProbeCycles stream symbols to ever
-        // decide; with fewer the stream just ran sparse — exactly the
-        // n > kProbeCycles gate of a whole-input run, evaluated lazily.
-        phase_ = fa_.size() >= Engine::kMinDenseStates ? Phase::Probe
-                                                       : Phase::Sparse;
+        phase_ = config_.mode == EngineMode::Auto ? Phase::Probe
+                                                  : Phase::Sparse;
         break;
     }
 }
@@ -157,10 +135,7 @@ EngineSession::restart(HotStateProfiler *profiler)
 void
 EngineSession::decideHandover()
 {
-    const uint64_t threshold =
-        static_cast<uint64_t>(Engine::kProbeCycles) *
-        Engine::kDenseWorkPerWord * wordsForBits(fa_.size());
-    if (probe_work_ >= threshold) {
+    if (Engine::prefersDense(fa_.size(), probe_work_)) {
         // Dense from here on, for the rest of the stream: hand the
         // in-flight enabled set over. The decision is made exactly once
         // per stream, at the same global cycle a whole-input run
@@ -172,7 +147,6 @@ EngineSession::decideHandover()
         dense_->seed(live);
         phase_ = Phase::Dense;
         stats_.handedOver = true;
-        pending_dfa_nomination_ = true;
     } else {
         phase_ = Phase::Sparse; // committed: no further probing
     }
@@ -305,8 +279,6 @@ EngineSession::suspend() const
     snap.probeWork = probe_work_;
     snap.dfaState = dfa_state_;
     snap.dfaScanning = dfa_scanning_;
-    snap.dfaChecked = dfa_checked_;
-    snap.pendingDfaNomination = pending_dfa_nomination_;
     snap.stats = stats_;
     switch (phase_) {
     case Phase::Sparse:
@@ -332,15 +304,10 @@ EngineSession::resume(const Snapshot &snap)
     probe_work_ = snap.probeWork;
     dfa_state_ = snap.dfaState;
     dfa_scanning_ = snap.dfaScanning;
-    dfa_checked_ = snap.dfaChecked;
-    pending_dfa_nomination_ = snap.pendingDfaNomination;
     stats_ = snap.stats;
     reports_.clear();
     skip_base_symbols_ = 0;
     skip_base_jumps_ = 0;
-
-    if (dfa_checked_ && !dfa_)
-        dfa_ = fa_.ensureHotDfa(); // deterministic rebuild or cache hit
 
     switch (phase_) {
     case Phase::Sparse:
@@ -357,6 +324,7 @@ EngineSession::resume(const Snapshot &snap)
         skip_base_jumps_ = snap.stats.skipJumps;
         break;
     case Phase::Dfa:
+        dfa_ = fa_.ensureHotDfa(); // deterministic rebuild or cache hit
         SPARSEAP_ASSERT(dfa_ != nullptr,
                         "resuming a DFA-phase stream requires the "
                         "automaton to determinize under the current "

@@ -17,15 +17,16 @@
  * global stream offsets (Report::position), so a long-lived stream
  * never wraps.
  *
- * The auto-mode probe is carried *across* chunks: the session
- * accumulates the sparse core's measured work over the first
- * Engine::kProbeCycles symbols of the stream no matter how they are
- * chunked, decides the sparse→dense handover exactly once at the same
- * global cycle a whole-input run would, and stays on the chosen core
- * for the rest of the stream instead of re-probing per chunk. The
- * post-handover DFA nomination happens at the next restart() — a
- * stream never switches to the DFA table mid-flight (there is no
- * NFA-set→DFA-state mapping for an in-flight configuration).
+ * Auto mode resolves the core once per automaton, at restart(): the
+ * automaton's one cached determinization attempt
+ * (FlatAutomaton::ensureHotDfa) puts every stream on the DFA table from
+ * byte 0 when it fits the budget. Only after a bailout does the stream
+ * start on the sparse core, and the sparse→dense probe is then carried
+ * *across* chunks: the session accumulates the sparse core's measured
+ * work over the first Engine::kProbeCycles symbols of the stream no
+ * matter how they are chunked, decides the handover exactly once at the
+ * same global cycle a whole-input run would, and stays on the chosen
+ * core for the rest of the stream instead of re-probing per chunk.
  *
  * suspend()/resume() capture the live execution state between chunks
  * into a portable Snapshot — the ordered sparse lists (ExecCore), the
@@ -57,6 +58,17 @@ namespace sparseap {
 class DenseCore;
 class HotDfa;
 class HotStateProfiler;
+
+/**
+ * The core a fresh stream of @p mode on @p fa starts on — the one
+ * selection rule, shared by EngineSession::restart and the serving
+ * layer's tenant set-up. Auto and dfa take the automaton's cached,
+ * budgeted determinization (FlatAutomaton::ensureHotDfa) and return Dfa
+ * when it fits. After a bailout dfa returns Dense and auto returns Auto:
+ * each stream's sparse→dense probe picks the NFA core. Sparse and Dense
+ * return themselves.
+ */
+EngineMode initialCore(const FlatAutomaton &fa, EngineMode mode);
 
 /**
  * Per-session execution configuration, fixed at restart() time (except
@@ -128,9 +140,8 @@ class EngineSession
     /**
      * Begin a new stream, reusing this session's allocations. Clears
      * reports and stats, resolves the stepping core for the stream
-     * (materializing a pending auto-mode DFA nomination first, so a
-     * session behaves exactly like Engine across runs), and rewinds the
-     * global offset to 0.
+     * (auto and dfa modes take the automaton's cached DFA when it
+     * determinizes), and rewinds the global offset to 0.
      *
      * @param profiler optional hot-state recorder; profiling streams
      *        are pinned to the sparse core (its enable hooks feed the
@@ -194,10 +205,6 @@ class EngineSession
         uint32_t dfaState = 0;
         /** DFA skip-gate position: still scanning? */
         bool dfaScanning = true;
-        /** One-shot determinization attempt already made? */
-        bool dfaChecked = false;
-        /** Auto handover nominated determinization for next stream? */
-        bool pendingDfaNomination = false;
         SessionStats stats;
 
         /**
@@ -264,8 +271,6 @@ class EngineSession
     std::unique_ptr<ExecCore> core_;
     std::unique_ptr<DenseCore> dense_; ///< created on first dense use
     std::shared_ptr<const HotDfa> dfa_; ///< set once selected
-    bool dfa_checked_ = false; ///< one determinization attempt
-    bool pending_dfa_nomination_ = false; ///< handover → next restart
 
     uint64_t probe_work_ = 0; ///< accumulated sparse probe work
     uint32_t dfa_state_ = 0;  ///< persistent DFA state across chunks

@@ -86,11 +86,13 @@ StreamBatchRunner::runLane(
     // One automaton + one config resolve every session of the batch to
     // the same initial phase, so the lane is homogeneous: either all
     // streams run the DFA table (fused symbol interleave) or none do
-    // (quantum rotation). A fresh auto session never starts on the DFA
-    // (the nomination is a cross-stream decision), so mid-stream phase
-    // changes — auto handovers — happen per stream on the NFA side and
-    // never enter the fused path.
-    const bool fused = sessions[0]->dfaPhase();
+    // (quantum rotation). The DFA is chosen at restart or never — auto
+    // handovers only follow a determinization bailout, per stream on
+    // the NFA side — so no stream enters or leaves the DFA mid-batch.
+    // A batch of one has no partner to fuse with: it feeds through
+    // feed() and keeps the input skip. The rule reads the whole batch,
+    // not the lane, so results are the same at any lane count.
+    const bool fused = sessions[0]->dfaPhase() && inputs.size() > 1;
 
     std::vector<size_t> cursor(m, 0);
     std::vector<EngineSession *> round_sessions;

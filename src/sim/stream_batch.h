@@ -20,12 +20,15 @@
  *    independent table-lookup dependency chains overlap in the memory
  *    pipeline, where a lone stream is latency-bound on its own
  *    dependent loads. This is the single-core speedup source measured
- *    by bench/multi_stream.
+ *    by bench/multi_stream. A batch of one has no partner and feeds
+ *    alone, keeping the input skip the fused interleave does not
+ *    consult.
  *
  * Determinism: results land in per-stream slots, every stream's chunk
- * grid is the fixed quantum (independent of the lane count), and the
- * DFA path never consults the input skip — so the full result set,
- * reports and stats, is byte-identical at any SPARSEAP_JOBS.
+ * grid is the fixed quantum (independent of the lane count), and
+ * whether a batch is fused depends only on its stream count —
+ * so the full result set, reports and stats, is byte-identical at any
+ * SPARSEAP_JOBS.
  */
 
 #ifndef SPARSEAP_SIM_STREAM_BATCH_H

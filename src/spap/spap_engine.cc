@@ -45,8 +45,6 @@ runSpapMode(const FlatAutomaton &fa, std::span<const uint8_t> input,
         sparse->reset(ExecCore::distinctBytes(input), nullptr,
                       /*install_starts=*/false);
     }
-    const bool may_probe =
-        mode == EngineMode::Auto && fa.size() >= Engine::kMinDenseStates;
     uint64_t work_acc = 0;
 
     size_t i = 0; // input cursor
@@ -103,19 +101,15 @@ runSpapMode(const FlatAutomaton &fa, std::span<const uint8_t> input,
         // enabled set to the dense core when the measured sparse work
         // exceeds a word sweep — an over-capacity cold batch that runs
         // hot then pays O(live words) per cycle instead of list chasing.
-        if (sparse && may_probe &&
-            result.consumedCycles == Engine::kProbeCycles) {
-            const uint64_t threshold =
-                static_cast<uint64_t>(Engine::kProbeCycles) *
-                Engine::kDenseWorkPerWord * wordsForBits(fa.size());
-            if (work_acc >= threshold) {
-                std::vector<GlobalStateId> live;
-                sparse->snapshotEnabled(&live);
-                dense = std::make_unique<DenseCore>(fa);
-                dense->reset(/*install_starts=*/false);
-                dense->seed(live);
-                sparse.reset();
-            }
+        if (sparse && mode == EngineMode::Auto &&
+            result.consumedCycles == Engine::kProbeCycles &&
+            Engine::prefersDense(fa.size(), work_acc)) {
+            std::vector<GlobalStateId> live;
+            sparse->snapshotEnabled(&live);
+            dense = std::make_unique<DenseCore>(fa);
+            dense->reset(/*install_starts=*/false);
+            dense->seed(live);
+            sparse.reset();
         }
     }
     return result;

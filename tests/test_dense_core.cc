@@ -83,12 +83,16 @@ TEST(DenseCore, PropertyAutoModeMatchesSparse)
 TEST(DenseCore, AutoHandsOverOnDenseLiveSet)
 {
     // Hundreds of always-enabled starts: the live set is half the
-    // automaton from cycle 0, far above the handover threshold.
+    // automaton from cycle 0, far above the handover threshold. The
+    // a.{12} window blows the DFA budget, so auto mode probes instead
+    // of running the table.
     Application app("dense", "D");
     for (int i = 0; i < 300; ++i)
         app.addNfa(compileRegex("ab", "p" + std::to_string(i)));
+    app.addNfa(compileRegex("a.{12}", "w"));
     FlatAutomaton fa(app);
     ASSERT_GE(fa.size(), Engine::kMinDenseStates);
+    ASSERT_EQ(fa.ensureHotDfa(), nullptr);
 
     std::vector<uint8_t> input(1000, 'a');
     for (size_t i = 1; i < input.size(); i += 2)
@@ -115,10 +119,13 @@ TEST(DenseCore, AutoStaysSparseOnSparseLiveSet)
         app.addNfa(compileRegex("q" + std::to_string(i % 10) + "xyzw",
                                 "p" + std::to_string(i)));
     }
+    app.addNfa(compileRegex("a.{12}", "w")); // no DFA: the probe runs
     FlatAutomaton fa(app);
+    ASSERT_EQ(fa.ensureHotDfa(), nullptr);
     std::vector<uint8_t> input(1000, 'z'); // nothing past the starts
     Engine aut(fa, EngineMode::Auto);
     EXPECT_FALSE(aut.run(input).usedDenseCore);
+    EXPECT_EQ(aut.resolvedMode(), EngineMode::Sparse);
 }
 
 /** Dense == sparse on every registered workload (small scale/input). */

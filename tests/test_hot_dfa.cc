@@ -2,10 +2,11 @@
  * @file
  * Hot-DFA determinization tests: table shape and report semantics on
  * hand-built automata, deterministic construction, budget bailouts
- * (state count and table bytes), engine fallback when the budget blows,
- * report equality of sparse/dense/DFA on random automata and on every
- * registered workload, and store round-trips that preserve an attached
- * DFA (and the lazy no-DFA-by-default encode policy).
+ * (state count, table bytes and activated-set bytes), engine fallback
+ * when the budget blows, report equality of sparse/dense/DFA on random
+ * automata and on every registered workload, and store round-trips that
+ * preserve an attached DFA (and the lazy no-DFA-by-default encode
+ * policy).
  */
 
 #include <algorithm>
@@ -200,6 +201,30 @@ TEST(HotDfa, TableByteBudgetBailsOut)
     HotDfa::Limits limits = roomyLimits();
     limits.tableBytes = 64; // a handful of transitions at most
     EXPECT_EQ(HotDfa::build(fa, limits), nullptr);
+}
+
+/**
+ * The table budget also caps the activated sets the construction holds
+ * (states x NFA words x 8 bytes). With many NFA states and few symbol
+ * classes those outgrow the table, and the build bails where the table
+ * alone would fit.
+ */
+TEST(HotDfa, ActivatedSetBytesCountAgainstTableBudget)
+{
+    Application app("many", "M");
+    for (int i = 0; i < 300; ++i)
+        app.addNfa(compileRegex("ab", "p" + std::to_string(i)));
+    FlatAutomaton fa(app);
+    const auto roomy = HotDfa::build(fa, roomyLimits());
+    ASSERT_NE(roomy, nullptr);
+    const size_t set_bytes = (fa.size() + 63) / 64 * sizeof(uint64_t);
+    ASSERT_GT(set_bytes, roomy->classes() * sizeof(uint32_t));
+
+    HotDfa::Limits limits = roomyLimits();
+    limits.tableBytes = roomy->tableBytes();
+    EXPECT_EQ(HotDfa::build(fa, limits), nullptr);
+    limits.tableBytes = roomy->states() * set_bytes;
+    EXPECT_NE(HotDfa::build(fa, limits), nullptr);
 }
 
 /**

@@ -19,9 +19,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "regex/glushkov.h"
 #include "serve/match_service.h"
 #include "sim/engine.h"
 #include "store/format.h"
+#include "telemetry/labels.h"
+#include "telemetry/metrics.h"
 #include "workloads/registry.h"
 
 using namespace sparseap;
@@ -263,6 +266,67 @@ TEST(MatchService, FeedManyUsesFusedDfaPath)
             << "stream " << s;
     }
     EXPECT_GT(service.stats().fusedFeeds, 0u);
+}
+
+/**
+ * An auto tenant whose automaton determinizes resolves to the DFA at
+ * addTenant: it says so in TenantInfo, its very first feed runs on the
+ * table, and a 2-stream feedMany takes the fused path.
+ */
+TEST(MatchService, AutoTenantResolvesDfaAtAddTenant)
+{
+    ServiceFixture fx({"Bro217"});
+    MatchService service;
+    service.addTenant("auto-dfa", fx.automata[0]);
+    ASSERT_NE(fx.automata[0]->hotDfaIfBuilt(), nullptr)
+        << "addTenant must determinize an auto tenant up front";
+    const auto tenants = service.tenants();
+    ASSERT_EQ(tenants.size(), 1u);
+    EXPECT_EQ(tenants[0].core, EngineMode::Dfa);
+
+    const std::string dfa_cycles =
+        telemetry::labeledName("serve.dfa_cycles", "auto-dfa");
+    auto dfaCycles = [&] {
+        const telemetry::Snapshot snap = telemetry::snapshot();
+        const auto it = snap.counters.find(dfa_cycles);
+        return it == snap.counters.end() ? uint64_t{0} : it->second;
+    };
+
+    const auto &input = fx.inputs[0];
+    ASSERT_EQ(service.open("auto-dfa", 1), OpStatus::Ok);
+    ASSERT_EQ(service.open("auto-dfa", 2), OpStatus::Ok);
+    const uint64_t before = dfaCycles();
+    ReportGroup group;
+    ASSERT_EQ(service.feed("auto-dfa", 1, {input.data(), 4096}, &group),
+              OpStatus::Ok);
+    EXPECT_EQ(dfaCycles() - before, 4096u);
+
+    const std::vector<FeedEntry> entries = {
+        {1, {input.data() + 4096, 4096}},
+        {2, {input.data(), 8192}},
+    };
+    std::vector<ReportGroup> groups;
+    ASSERT_EQ(service.feedMany("auto-dfa", entries, &groups),
+              OpStatus::Ok);
+    EXPECT_EQ(service.stats().fusedFeeds, 1u);
+    EXPECT_EQ(dfaCycles() - before, 4096u + 4096u + 8192u);
+}
+
+/** A bailout leaves an auto tenant on the NFA cores, and says so. */
+TEST(MatchService, AutoTenantReportsNfaAfterBailout)
+{
+    Application app("window", "W");
+    app.addNfa(compileRegex("a.{12}", "w"));
+    auto fa = std::make_shared<FlatAutomaton>(app);
+    MatchService service;
+    service.addTenant("auto-nfa", fa);
+    SessionConfig pinned;
+    pinned.mode = EngineMode::Sparse;
+    service.addTenant("sparse", fa, pinned);
+    const auto tenants = service.tenants();
+    ASSERT_EQ(tenants.size(), 2u);
+    EXPECT_EQ(tenants[0].core, EngineMode::Auto);
+    EXPECT_EQ(tenants[1].core, EngineMode::Sparse);
 }
 
 TEST(MatchService, FeedManyDuplicateStreamIdsFeedInOrder)

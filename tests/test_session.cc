@@ -213,15 +213,18 @@ TEST(Session, SuspendResumeMigratesAcrossSessions)
  * The auto probe's sparse→dense handover must fire at the same global
  * cycle no matter how the stream is chunked — including a suspend in the
  * middle of the probe window — on an automaton where the handover
- * provably fires (hundreds of always-enabled starts).
+ * provably fires (hundreds of always-enabled starts) and the probe
+ * provably runs (the a.{12} window blows the DFA budget).
  */
 TEST(Session, AutoHandoverSurvivesChunkingAndSuspend)
 {
     Application app("dense", "D");
     for (int i = 0; i < 300; ++i)
         app.addNfa(compileRegex("ab", "p" + std::to_string(i)));
+    app.addNfa(compileRegex("a.{12}", "w"));
     FlatAutomaton fa(app);
     ASSERT_GE(fa.size(), Engine::kMinDenseStates);
+    ASSERT_EQ(fa.ensureHotDfa(), nullptr);
 
     std::vector<uint8_t> input(1000, 'a');
     for (size_t i = 1; i < input.size(); i += 2)
@@ -246,6 +249,66 @@ TEST(Session, AutoHandoverSurvivesChunkingAndSuspend)
     second.resume(first.suspend());
     second.feed(std::span(input).subspan(Engine::kProbeCycles / 2));
     EXPECT_TRUE(second.stats().handedOver);
+    const ReportList tail = second.takeReports();
+    got.insert(got.end(), tail.begin(), tail.end());
+    EXPECT_EQ(got, want.reports);
+}
+
+/**
+ * Auto mode on an automaton that determinizes runs the DFA table from
+ * the first byte — whole-input, in 1-byte chunks, and across a suspend/
+ * resume mid-stream — with reports identical to the sparse core's.
+ */
+TEST(Session, AutoRunsDfaFromFirstByteWhenAutomatonDeterminizes)
+{
+    Application app("dense", "D");
+    for (int i = 0; i < 300; ++i)
+        app.addNfa(compileRegex("ab", "p" + std::to_string(i)));
+    FlatAutomaton fa(app);
+    ASSERT_NE(fa.ensureHotDfa(), nullptr);
+
+    std::vector<uint8_t> input(1000, 'a');
+    for (size_t i = 1; i < input.size(); i += 2)
+        input[i] = 'b';
+
+    Engine engine(fa, EngineMode::Auto);
+    const SimResult want = engine.run(input);
+    EXPECT_EQ(engine.resolvedMode(), EngineMode::Dfa);
+    EXPECT_TRUE(want.usedDfa);
+    EXPECT_FALSE(want.usedDenseCore);
+    ASSERT_FALSE(want.reports.empty());
+    ReportList sparse = wholeRun(fa, EngineMode::Sparse, true,
+                                 input).reports;
+    ReportList sorted = want.reports;
+    std::sort(sparse.begin(), sparse.end());
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, sparse);
+
+    const SessionConfig config =
+        engineParityConfig(EngineMode::Auto, true, input);
+
+    // 1-byte chunks: on the table before and after the first byte.
+    EngineSession chunked(fa, config);
+    chunked.restart();
+    EXPECT_EQ(chunked.resolvedMode(), EngineMode::Dfa);
+    for (size_t i = 0; i < input.size(); ++i) {
+        chunked.feed(std::span(input).subspan(i, 1));
+        ASSERT_EQ(chunked.resolvedMode(), EngineMode::Dfa) << "byte " << i;
+    }
+    EXPECT_EQ(chunked.reports(), want.reports);
+    EXPECT_FALSE(chunked.stats().handedOver);
+
+    // Suspend mid-stream, resume on another session, finish.
+    EngineSession first(fa, config);
+    first.restart();
+    first.feed(std::span(input).first(Engine::kProbeCycles / 2));
+    ReportList got = first.takeReports();
+    EngineSession second(fa, config);
+    second.resume(first.suspend());
+    EXPECT_EQ(second.resolvedMode(), EngineMode::Dfa);
+    second.feed(std::span(input).subspan(Engine::kProbeCycles / 2));
+    EXPECT_EQ(second.resolvedMode(), EngineMode::Dfa);
+    EXPECT_TRUE(second.stats().usedDfa);
     const ReportList tail = second.takeReports();
     got.insert(got.end(), tail.begin(), tail.end());
     EXPECT_EQ(got, want.reports);

@@ -22,7 +22,11 @@
 namespace sparseap {
 namespace {
 
-/** B distinct inputs for one workload (same generator, different draw). */
+/**
+ * B distinct inputs for one workload (same generator, different draw).
+ * Stream i is shorter than stream 0 by i * (len / 2B + 1) bytes, so
+ * streams finish at different rotations, mostly off the quantum grid.
+ */
 std::vector<std::vector<uint8_t>>
 makeStreams(const Workload &w, size_t b, size_t bytes, Rng &rng)
 {
@@ -32,7 +36,8 @@ makeStreams(const Workload &w, size_t b, size_t bytes, Rng &rng)
     std::vector<std::vector<uint8_t>> streams;
     streams.reserve(b);
     for (size_t i = 0; i < b; ++i)
-        streams.push_back(synthesizeInput(w.input, len, rng));
+        streams.push_back(
+            synthesizeInput(w.input, len - i * (len / (2 * b) + 1), rng));
     return streams;
 }
 
@@ -197,6 +202,16 @@ TEST(StreamBatch, FusedDfaLanesMatchDedicatedEngines)
             << "stream " << i;
         EXPECT_EQ(got[i].reports, refs[i]) << "stream " << i;
     }
+
+    // A batch of one has nothing to fuse with: it keeps the input skip.
+    config.inputSkip = true;
+    StreamBatchRunner single(fa, config);
+    single.setQuantum(64);
+    const auto alone = single.run(
+        std::span<const std::span<const uint8_t>>(spans).first(1), 2);
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(alone[0].reports, refs[0]);
+    EXPECT_GT(alone[0].stats.skippedSymbols, 0u);
 }
 
 /** Degenerate shapes: no streams, one stream, empty streams, more lanes

@@ -160,14 +160,13 @@ main(int argc, char **argv)
     serve::MatchService service(mcfg);
     for (const std::string &abbr : splitList(apps_arg)) {
         const LoadedApp &app = runner.load(abbr);
-        const FlatAutomaton &fa = app.flat();
-        inform("tenant ", abbr, ": ", fa.size(), " states",
-               fa.ensureHotDfa() ? " (DFA)" : "");
         service.addTenant(
-            abbr,
-            std::shared_ptr<const FlatAutomaton>(&fa,
-                                                 [](const auto *) {}));
+            abbr, std::shared_ptr<const FlatAutomaton>(&app.flat(),
+                                                       [](const auto *) {}));
     }
+    for (const serve::TenantInfo &t : service.tenants())
+        inform("tenant ", t.name, ": ", t.states, " states, core ",
+               engineModeName(t.core));
 
     serve::Server server(&service, scfg);
     std::string error;
