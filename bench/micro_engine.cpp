@@ -7,6 +7,7 @@
  * small-scale workloads whose hot set actually determinizes.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -363,20 +364,27 @@ reportDigest(const ReportList &reports)
 
 /**
  * Per-workload input-skip census: the fraction of input the quiescence
- * skip consumed without stepping, the jump count, and the skip-on vs
- * skip-off report digests on the dense core. The digests must match —
- * the skip is an optimization, not an approximation — so main() exits
- * nonzero on a mismatch and the CI perf-smoke job inherits the failure.
+ * skip consumed without stepping, the jump count, the skip-on run's
+ * report count, and the skip-on vs skip-off report digests on the dense
+ * core. The digests must match — the skip is an optimization, not an
+ * approximation — so main() exits nonzero on a mismatch and the CI
+ * perf-smoke job inherits the failure. A row whose stream is empty
+ * compares nothing, so the count of such rows is printed under the
+ * table.
  */
 bool
 printInputSkipTable()
 {
     printSection("Quiescence input skip (SPARSEAP_INPUT_SKIP census)");
     static ExperimentRunner runner;
-    Table table({"App", "Input", "Skipped", "Ratio", "Jumps", "Digest",
-                 "Match"});
-    bool all_match = true;
-    runner.forEachApp("HML", [&](const LoadedApp &app, size_t) {
+    Table table({"App", "Input", "Skipped", "Ratio", "Jumps", "Reports",
+                 "Digest", "Match"});
+    // The sweep may run apps on several lanes: each writes its own slot.
+    const size_t apps = runner.selectApps("HML").size();
+    std::vector<std::vector<std::string>> rows(apps);
+    std::vector<uint8_t> matched(apps, 1);
+    std::vector<uint8_t> empty(apps, 0);
+    runner.forEachApp("HML", [&](const LoadedApp &app, size_t i) {
         const FlatAutomaton &fa = app.flat();
         const std::span<const uint8_t> input(app.input.data(),
                                              std::min<size_t>(
@@ -390,19 +398,30 @@ printInputSkipTable()
         const SimResult r_off = off.run(input);
         const uint64_t d_on = reportDigest(r_on.reports);
         const uint64_t d_off = reportDigest(r_off.reports);
-        const bool match = d_on == d_off;
-        all_match = all_match && match;
+        matched[i] = d_on == d_off ? 1 : 0;
+        empty[i] = r_on.reports.empty() ? 1 : 0;
         const double ratio =
             input.empty() ? 0.0
                           : static_cast<double>(r_on.skippedSymbols) /
                                 static_cast<double>(input.size());
-        table.addRow({app.entry.abbr, std::to_string(input.size()),
-                      std::to_string(r_on.skippedSymbols),
-                      Table::fmt(ratio, 3),
-                      std::to_string(r_on.skipJumps),
-                      store::digestHex(d_on), match ? "ok" : "MISMATCH"});
+        rows[i] = {app.entry.abbr,
+                   std::to_string(input.size()),
+                   std::to_string(r_on.skippedSymbols),
+                   Table::fmt(ratio, 3),
+                   std::to_string(r_on.skipJumps),
+                   std::to_string(r_on.reports.size()),
+                   store::digestHex(d_on),
+                   matched[i] ? "ok" : "MISMATCH"};
     });
+    for (auto &row : rows)
+        table.addRow(std::move(row));
     runner.printTable(table);
+    std::printf("%zu of %zu rows compared an empty report stream\n",
+                static_cast<size_t>(
+                    std::count(empty.begin(), empty.end(), 1)),
+                apps);
+    const bool all_match =
+        std::count(matched.begin(), matched.end(), 0) == 0;
     return all_match;
 }
 

@@ -32,7 +32,8 @@ DenseCore::DenseCore(const FlatAutomaton &fa)
       enabled_(words_, 0), enabled_sum_(sum_words_, 0),
       enabled_sum2_(sum2_words_, 0), next_(words_, 0),
       next_sum_(sum_words_, 0), next_sum2_(sum2_words_, 0),
-      active_(words_, 0), scratch_(words_, 0), perm_(words_, 0),
+      active_(words_, 0), active_sum_(sum_words_, 0),
+      scratch_(words_, 0), perm_(words_, 0),
       perm_next_(words_, 0), perm_next_sum_(sum_words_, 0)
 {
     if (globalOptions().inputSkip) {
@@ -563,28 +564,40 @@ DenseCore::stepFlat(const uint64_t *accept, uint8_t cls, uint32_t sk,
                     dv_.startSuccWordMask[k];
     }
 
-    for (size_t w = 0; w < words_; ++w) {
-        uint64_t a = act[w];
-        if (a == 0)
-            continue;
-        if (reports) {
-            uint64_t hits = a & dv_.reporting[w];
-            while (hits != 0) {
-                const unsigned b =
-                    static_cast<unsigned>(__builtin_ctzll(hits));
-                reports->push_back(
-                    {position, static_cast<GlobalStateId>(w * 64 + b)});
-                hits &= hits - 1;
+    // What is left needs handling bit by bit: reports and fan-out CSR
+    // walks. One AND with the fan-out row drops the chain activations
+    // the shift already propagated (and the successor-less states), and
+    // the sweep visits only the nonzero words of what remains, in
+    // ascending order so reports stay in state order.
+    ops_->bitAnd(act, act, dv_.fanout.data(), words_);
+    uint64_t *act_sum = active_sum_.data();
+    ops_->nonzeroWords(act_sum, act, words_);
+    for (size_t sw = 0; sw < sum_words_; ++sw) {
+        uint64_t live = act_sum[sw];
+        while (live != 0) {
+            const size_t w =
+                sw * 64 + static_cast<unsigned>(__builtin_ctzll(live));
+            live &= live - 1;
+            uint64_t a = act[w];
+            if (reports) {
+                uint64_t hits = a & dv_.reporting[w];
+                while (hits != 0) {
+                    const unsigned b =
+                        static_cast<unsigned>(__builtin_ctzll(hits));
+                    reports->push_back(
+                        {position, static_cast<GlobalStateId>(w * 64 + b)});
+                    hits &= hits - 1;
+                }
             }
-        }
-        a &= ~chain[w];
-        while (a != 0) {
-            const unsigned b =
-                static_cast<unsigned>(__builtin_ctzll(a));
-            const auto s = static_cast<GlobalStateId>(w * 64 + b);
-            for (uint32_t k = begin[s]; k < begin[s + 1]; ++k)
-                next[idx[k]] |= mask[k];
-            a &= a - 1;
+            a &= ~chain[w];
+            while (a != 0) {
+                const unsigned b =
+                    static_cast<unsigned>(__builtin_ctzll(a));
+                const auto s = static_cast<GlobalStateId>(w * 64 + b);
+                for (uint32_t k = begin[s]; k < begin[s + 1]; ++k)
+                    next[idx[k]] |= mask[k];
+                a &= a - 1;
+            }
         }
     }
 

@@ -31,6 +31,12 @@
  * Fermi), summary maintenance costs more than it skips, so step()
  * falls back to a flat SIMD-friendly linear sweep chosen per cycle from
  * a popcount of the summary — O(N/64) but with no per-word bookkeeping.
+ * The flat sweep moves every chain state (successor exactly s+1) with
+ * one cross-word shift of the activation vector, then ANDs that vector
+ * with the view's fan-out row (reporting states plus non-chain states
+ * with successors) and walks bit by bit only the nonzero words left:
+ * on rule sets ~90% of activations are chain states, so the scalar
+ * part follows the few fan-out activations, not the live words.
  *
  * Like the sparse core, the dense core latches universal self-loop
  * states: once enabled they activate forever, so rule-set `.*` gaps
@@ -236,6 +242,7 @@ class DenseCore
     WordVector next_sum_;
     WordVector next_sum2_;
     WordVector active_; ///< flat-path scratch: activations per word
+    WordVector active_sum_; ///< flat-path scratch: nonzero words of active_
     WordVector scratch_; ///< flat-path scratch: chain slice / fresh latches
 
     /**

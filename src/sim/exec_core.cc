@@ -147,7 +147,7 @@ ExecCore::enableState(GlobalStateId s)
         return; // already permanently enabled
     if (profiler_)
         profiler_->markEnabled(s);
-    if (universal(s) && hasSelfLoop(s)) {
+    if (hasSelfLoop(s) && universal(s)) {
         // Enabled now, activates on every symbol, re-enables itself:
         // permanently enabled from this cycle on.
         makePermanent(s);
@@ -170,7 +170,7 @@ ExecCore::enableForNext(GlobalStateId t)
         next_enabled_.push_back(t);
         if (profiler_)
             profiler_->markEnabled(t);
-        if (universal(t) && hasSelfLoop(t)) {
+        if (hasSelfLoop(t) && universal(t)) {
             // Will latch at the start of the next cycle.
             pending_permanent_.push_back(t);
         }

@@ -13,10 +13,11 @@ namespace {
 
 /**
  * Compute the DenseView's derived execution accelerators — the chain
- * mask and the dense start-dispatch rows (see their field docs) — from
- * the already-installed CSR spans. Called by both construction paths
- * (flatten and store-decode); the results live in the view's owned
- * storage and are never serialized, so the store format is unaffected.
+ * and fan-out masks and the dense start-dispatch rows (see their field
+ * docs) — from the already-installed CSR and reporting spans. Called
+ * by both construction paths (flatten and store-decode); the results
+ * live in the view's owned storage and are never serialized, so the
+ * store format is unaffected.
  */
 void
 computeDerivedArrays(FlatAutomaton::DenseView &dv)
@@ -35,6 +36,16 @@ computeDerivedArrays(FlatAutomaton::DenseView &dv)
             setWordBit(own.chain.data(), s);
     }
     dv.chain = own.chain;
+
+    own.fanout.assign(dv.words, 0);
+    for (GlobalStateId s = 0; s < n; ++s) {
+        if (dv.succBegin[s + 1] > dv.succBegin[s] &&
+            !testWordBit(own.chain.data(), s))
+            setWordBit(own.fanout.data(), s);
+    }
+    for (size_t w = 0; w < dv.words; ++w)
+        own.fanout[w] |= dv.reporting[w];
+    dv.fanout = own.fanout;
 
     own.startNextRow.assign(dv.classes, 0);
     uint32_t rows = 0;

@@ -223,6 +223,18 @@ class FlatAutomaton
         std::span<const uint64_t> chain;
 
         /**
+         * Fan-out states, one row (derived like chain, never stored):
+         * reporting states plus non-chain states with a nonempty
+         * successor CSR — exactly the states whose activation needs
+         * handling bit by bit once the chain shift has run. The dense
+         * core's flat sweep ANDs the activation vector with this row
+         * and visits only the nonzero words of the result, so a cycle
+         * with a hundred live chain bits and one fan-out activation
+         * walks one word instead of every word with an activation.
+         */
+        std::span<const uint64_t> fanout;
+
+        /**
          * Dense start-dispatch rows (derived, never stored): classes
          * whose pooled successor contribution covers at least 1/8 of
          * the vector get their startSucc list materialized as one full
@@ -301,10 +313,12 @@ class FlatAutomaton
             std::vector<uint32_t> startSuccBegin;
             std::vector<uint32_t> startSuccWordIdx;
             WordVector startSuccWordMask;
-            /** Derived arrays (chain / startNext*) are owned in BOTH
-             *  construction paths — they are computed from the CSR at
-             *  view-install time, never read from a store mapping. */
+            /** Derived arrays (chain / fanout / startNext*) are owned
+             *  in BOTH construction paths — they are computed from the
+             *  CSR at view-install time, never read from a store
+             *  mapping. */
             WordVector chain;
+            WordVector fanout;
             std::vector<uint32_t> startNextRow;
             WordVector startNextRows;
         };

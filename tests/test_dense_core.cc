@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/vec.h"
 #include "regex/glushkov.h"
+#include "sim/dense_core.h"
 #include "sim/engine.h"
 #include "support/naive_sim.h"
 #include "support/random_nfa.h"
@@ -149,6 +151,122 @@ TEST(DenseCore, PropertyMatchesSparseOnAllRegisteredWorkloads)
         EXPECT_EQ(sortedReports(dense, input), want) << entry.abbr;
         EXPECT_EQ(sortedReports(aut, input), want) << entry.abbr;
     }
+}
+
+/**
+ * A chain-heavy application over the 4-symbol alphabet {0..3} whose live
+ * set stays dense: every NFA is a spine of chain states (successor
+ * exactly s+1) fed by an always-enabled start, with broad symbol sets so
+ * activations run far down the spines. Mixed in: reporting chain
+ * states, reporting terminals, fan-out edges, self-loops, universal
+ * self-loop states (latched by the core) and all-reporting spines of 64+
+ * states, so some words hold only reporting fan-out bits.
+ */
+Application
+chainHeavyApplication(Rng &rng)
+{
+    Application app("flat", "F");
+    const size_t nfas = 12 + rng.index(9);
+    for (size_t k = 0; k < nfas; ++k) {
+        const bool all_reporting = rng.chance(0.2);
+        const size_t len = all_reporting ? 64 + rng.index(65)
+                                         : 30 + rng.index(91);
+        Nfa nfa("f" + std::to_string(k));
+        for (size_t i = 0; i < len; ++i) {
+            SymbolSet set;
+            const bool universal = !all_reporting && i > 0 &&
+                                   rng.chance(0.03);
+            if (universal) {
+                set = SymbolSet::all();
+            } else {
+                for (uint8_t c = 0; c < 4; ++c)
+                    if (rng.chance(0.8))
+                        set.set(c);
+                if (set.empty())
+                    set.set(static_cast<uint8_t>(rng.index(4)));
+            }
+            const bool reporting =
+                all_reporting || i + 1 == len || rng.chance(0.15);
+            nfa.addState(set,
+                         i == 0 ? StartKind::AllInput : StartKind::None,
+                         reporting);
+            if (universal)
+                nfa.addEdge(static_cast<StateId>(i),
+                            static_cast<StateId>(i));
+        }
+        for (size_t i = 0; i + 1 < len; ++i) {
+            const auto u = static_cast<StateId>(i);
+            nfa.addEdge(u, u + 1);
+            if (all_reporting)
+                continue;
+            if (rng.chance(0.08))
+                nfa.addEdge(u, static_cast<StateId>(rng.index(len)));
+            if (rng.chance(0.04))
+                nfa.addEdge(u, u);
+        }
+        nfa.finalize();
+        app.addNfa(std::move(nfa));
+    }
+    return app;
+}
+
+/**
+ * The flat sweep (chain shift plus the fan-out-row walk) against the
+ * sparse core and the naive oracle, under every supported SIMD tier.
+ * Guards against vacuous passes: each trial must run flat cycles and
+ * emit reports, and across trials the views must contain a chain state
+ * in bit 63 (a carry into the next word) and a word whose fan-out bits
+ * are all reporting states.
+ */
+TEST(DenseCore, FlatSweepMatchesSparseAndNaiveOnChainHeavyAutomata)
+{
+    std::vector<simd::Isa> isas;
+    for (simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Sse2,
+                          simd::Isa::Avx2, simd::Isa::Avx512})
+        if (simd::isaSupported(isa))
+            isas.push_back(isa);
+
+    Rng rng(20261019);
+    bool saw_carry = false;
+    bool saw_reporting_only_word = false;
+    for (int trial = 0; trial < 16; ++trial) {
+        const Application app = chainHeavyApplication(rng);
+        const std::vector<uint8_t> input = testing::randomInput(rng, 400, 4);
+        FlatAutomaton fa(app);
+        const FlatAutomaton::DenseView &dv = fa.denseView();
+        for (size_t w = 0; w < dv.words; ++w) {
+            saw_carry = saw_carry || (dv.chain[w] >> 63) != 0;
+            saw_reporting_only_word =
+                saw_reporting_only_word ||
+                (dv.fanout[w] != 0 && dv.fanout[w] == dv.reporting[w]);
+        }
+
+        Engine sparse(fa, EngineMode::Sparse);
+        const ReportList want = sortedReports(sparse, input);
+        ASSERT_EQ(want, testing::naiveSimulate(app, input))
+            << "trial " << trial;
+        ASSERT_GT(want.size(), 0u) << "trial " << trial;
+
+        for (simd::Isa isa : isas) {
+            ASSERT_TRUE(simd::setIsa(isa));
+            DenseCore core(fa);
+            core.reset(/*install_starts=*/true);
+            ReportList got;
+            for (size_t i = 0; i < input.size(); ++i)
+                core.step(input[i], i, &got);
+            const DenseCore::StepStats &st = core.stepStats();
+            EXPECT_GT(st.cycles, st.skipCycles)
+                << simd::isaName(isa) << " trial " << trial;
+            // Reports leave the core in (position, state) order.
+            EXPECT_TRUE(std::is_sorted(got.begin(), got.end()))
+                << simd::isaName(isa) << " trial " << trial;
+            EXPECT_EQ(got, want)
+                << simd::isaName(isa) << " trial " << trial;
+        }
+        simd::setIsa(simd::bestIsa());
+    }
+    EXPECT_TRUE(saw_carry);
+    EXPECT_TRUE(saw_reporting_only_word);
 }
 
 /** Dense handles empty input and empty automata without tripping. */

@@ -84,6 +84,35 @@ TEST(ExecCore, UniversalWithoutSelfLoopDoesNotLatch)
     Engine engine(fa);
     EXPECT_EQ(engine.run(bytes("aXc")).reports.size(), 1u);
     EXPECT_EQ(engine.run(bytes("aXXc")).reports.size(), 0u);
+
+    // The same wildcard as a start-of-data state reaches enableState
+    // instead: at reset, and again when a snapshot is restored.
+    Application sod("t", "T");
+    Nfa nfa("g");
+    StateId any = nfa.addState(SymbolSet::all(), StartKind::StartOfData);
+    StateId c = nfa.addState(SymbolSet::single('c'), StartKind::None,
+                             true);
+    nfa.addEdge(any, c);
+    nfa.finalize();
+    sod.addNfa(std::move(nfa));
+    FlatAutomaton sod_fa(sod);
+    Engine sparse(sod_fa, EngineMode::Sparse);
+    EXPECT_EQ(sparse.run(bytes("Xc")).reports.size(), 1u);
+    EXPECT_EQ(sparse.run(bytes("XXc")).reports.size(), 0u);
+    EXPECT_EQ(sparse.run(bytes("Xcc")).reports.size(), 1u);
+
+    ExecCore core(sod_fa);
+    const Bitset256 alphabet = ExecCore::distinctBytes(bytes("Xc"));
+    core.reset(alphabet, nullptr, /*install_starts=*/true);
+    ExecCore::Snapshot snap;
+    core.saveState(&snap);
+    ExecCore restored(sod_fa);
+    restored.restoreState(alphabet, snap);
+    ReportList reports;
+    restored.step('X', 0, &reports);
+    restored.step('X', 1, &reports);
+    restored.step('c', 2, &reports);
+    EXPECT_TRUE(reports.empty());
 }
 
 TEST(ExecCore, UniversalityIsRelativeToTheInputAlphabet)
